@@ -16,18 +16,18 @@ fn bench_cache(c: &mut Criterion) {
     let t0 = SimDate::ymd(2024, 6, 1).at_midnight();
 
     c.bench_function("cache/hit", |b| {
-        let mut cache = PolicyCache::new();
+        let cache = PolicyCache::default();
         cache.store(domain.clone(), policy.clone(), "id1", t0);
-        b.iter(|| cache.decide(black_box(&domain), Some("id1"), t0))
+        b.iter(|| cache.assess(black_box(&domain), Some("id1"), t0))
     });
     c.bench_function("cache/miss-id-changed", |b| {
-        let mut cache = PolicyCache::new();
+        let cache = PolicyCache::default();
         cache.store(domain.clone(), policy.clone(), "id1", t0);
-        b.iter(|| cache.decide(black_box(&domain), Some("id2"), t0))
+        b.iter(|| cache.assess(black_box(&domain), Some("id2"), t0))
     });
-    // The ablation: always refetch = store + decide on every delivery.
+    // The ablation: always refetch = store + evict on every delivery.
     c.bench_function("cache/always-refetch", |b| {
-        let mut cache = PolicyCache::new();
+        let cache = PolicyCache::default();
         b.iter(|| {
             cache.store(domain.clone(), policy.clone(), "id1", t0);
             cache.evict(&domain);

@@ -8,11 +8,18 @@
 //! still applies — that property is what makes a DNS-blocking attacker
 //! unable to downgrade an already-seen domain (and what makes improper
 //! removal, §2.6, cause lingering delivery failures).
+//!
+//! [`PolicyCache`] is the one cache type: the per-message engine, the
+//! delivery queue and the resolution daemon all hold it, and
+//! [`crate::resolve`](mod@crate::resolve) is the one place that acts on
+//! its decisions.
 
 use crate::policy::Policy;
 use netbase::{DomainName, SimInstant};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A cached policy and its provenance.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -67,32 +74,109 @@ pub enum CacheDecision {
     UseCachedDespiteDns(CachedPolicy),
 }
 
-/// The sender's policy cache.
+/// The sender's policy cache, safe to share between threads.
 ///
-/// Instrumented with hit/refresh counters for the `cache` benchmark and the
-/// always-refetch ablation in DESIGN.md. `hits` counts decisions served
-/// from cache; `fetches` counts **completed** fetches (a [`store`]) — a
-/// recommended fetch whose HTTPS leg then fails does not inflate the
-/// counter, so `stats()` stays reconcilable with TLSRPT/ledger totals.
+/// Entries live in `RwLock`-per-shard maps: decisions take one shard
+/// read lock and never write, so the warm path runs concurrently; a
+/// store touches exactly one shard. A domain's shard is FNV-1a over its
+/// labels, stable across runs and processes. Shard count changes
+/// nothing observable: decisions, counters and [`snapshot`] bytes are
+/// those of a one-shard cache.
 ///
+/// `hits` counts decisions served from cache; `fetches` counts
+/// **completed** fetches (a [`store`]) — a recommended fetch whose HTTPS
+/// leg then fails does not inflate the counter, so `stats()` stays
+/// reconcilable with TLSRPT/ledger totals.
+///
+/// [`snapshot`]: PolicyCache::snapshot
 /// [`store`]: PolicyCache::store
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub struct PolicyCache {
-    entries: HashMap<DomainName, CachedPolicy>,
-    hits: u64,
-    fetches: u64,
+    shards: Vec<RwLock<Shard>>,
+    hits: AtomicU64,
+    fetches: AtomicU64,
+}
+
+impl Default for PolicyCache {
+    /// A one-shard cache (single-caller use).
+    fn default() -> PolicyCache {
+        PolicyCache::new(1)
+    }
+}
+
+type Shard = HashMap<DomainName, CachedPolicy>;
+
+/// FNV-1a 64-bit, fed incrementally.
+fn fnv64(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// The shard a domain maps to among `n` shards (`n` a power of two).
+fn shard_index_for(domain: &DomainName, n: usize) -> usize {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for label in domain.labels() {
+        h = fnv64(h, label.as_bytes());
+        h = fnv64(h, b".");
+    }
+    (h as usize) & (n - 1)
 }
 
 impl PolicyCache {
-    /// An empty cache.
-    pub fn new() -> PolicyCache {
-        PolicyCache::default()
+    /// An empty cache with `shards` shards (rounded up to a power of
+    /// two, minimum 1).
+    pub fn new(shards: usize) -> PolicyCache {
+        PolicyCache::from_snapshot(Vec::new(), shards)
     }
 
-    /// The decision for `domain`, computed without touching counters or
-    /// entries — the resolver's read-locked fast path. The entry is
-    /// borrowed for the whole classification; a `Policy` clone happens
-    /// only in the `UseCached*` arms that hand it out.
+    /// Rebuilds a cache from a [`snapshot`](PolicyCache::snapshot).
+    /// Duplicate domains keep the last entry; counters start at zero —
+    /// seeding is not traffic.
+    pub fn from_snapshot(entries: Vec<(DomainName, CachedPolicy)>, shards: usize) -> PolicyCache {
+        let n = shards.max(1).next_power_of_two();
+        let mut maps: Vec<Shard> = (0..n).map(|_| Shard::new()).collect();
+        for (domain, entry) in entries {
+            maps[shard_index_for(&domain, n)].insert(domain, entry);
+        }
+        PolicyCache {
+            shards: maps.into_iter().map(RwLock::new).collect(),
+            hits: AtomicU64::new(0),
+            fetches: AtomicU64::new(0),
+        }
+    }
+
+    /// Number of shards (always a power of two).
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The shard `domain` lives in.
+    pub fn shard_index(&self, domain: &DomainName) -> usize {
+        shard_index_for(domain, self.shards.len())
+    }
+
+    fn read(&self, domain: &DomainName) -> RwLockReadGuard<'_, Shard> {
+        self.shards[self.shard_index(domain)]
+            .read()
+            .expect("shard lock poisoned")
+    }
+
+    fn write(&self, domain: &DomainName) -> RwLockWriteGuard<'_, Shard> {
+        self.shards[self.shard_index(domain)]
+            .write()
+            .expect("shard lock poisoned")
+    }
+
+    /// The decision for `domain`, given the outcome of the `_mta-sts`
+    /// record lookup (`Some(id)` when a valid record was read, `None`
+    /// when the record was absent or unreadable), under one shard read
+    /// lock. Counts a hit when the decision is served from cache; fetch
+    /// completions are counted by [`store`]. The entry is borrowed for
+    /// the whole classification; a `Policy` clone happens only in the
+    /// `UseCached*` arms that hand it out.
     ///
     /// Expired entries are **never** evicted here, whatever the record
     /// lookup said: when a DNS outage coincides with expiry the entry is
@@ -100,6 +184,7 @@ impl PolicyCache {
     /// belongs to the caller ([`evict`] / [`evict_expired`]), not to the
     /// decision.
     ///
+    /// [`store`]: PolicyCache::store
     /// [`evict`]: PolicyCache::evict
     /// [`evict_expired`]: PolicyCache::evict_expired
     pub fn assess(
@@ -108,7 +193,7 @@ impl PolicyCache {
         current_record_id: Option<&str>,
         now: SimInstant,
     ) -> CacheDecision {
-        match (self.entries.get(domain), current_record_id) {
+        let decision = match (self.read(domain).get(domain), current_record_id) {
             (Some(cached), Some(id)) if cached.is_fresh(now) && cached.record_id == id => {
                 CacheDecision::UseCached(cached.clone())
             }
@@ -123,25 +208,9 @@ impl PolicyCache {
             }
             (Some(_expired), _) => CacheDecision::Fetch(RefreshReason::Expired),
             (None, _) => CacheDecision::Fetch(RefreshReason::NoEntry),
-        }
-    }
-
-    /// Decides between cached use and refetching, given the outcome of the
-    /// `_mta-sts` record lookup (`Some(id)` when a valid record was read,
-    /// `None` when the record was absent or unreadable). Counts cache
-    /// uses; fetch completions are counted by [`PolicyCache::store`].
-    pub fn decide(
-        &mut self,
-        domain: &DomainName,
-        current_record_id: Option<&str>,
-        now: SimInstant,
-    ) -> CacheDecision {
-        let decision = self.assess(domain, current_record_id, now);
-        if matches!(
-            decision,
-            CacheDecision::UseCached(_) | CacheDecision::UseCachedDespiteDns(_)
-        ) {
-            self.hits += 1;
+        };
+        if !matches!(decision, CacheDecision::Fetch(_)) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
         decision
     }
@@ -149,72 +218,72 @@ impl PolicyCache {
     /// Stores a freshly fetched policy. This is the fetch-completion
     /// point: the `fetches` counter increments here, not when a fetch is
     /// merely *recommended*, so failed HTTPS legs never inflate it.
-    pub fn store(&mut self, domain: DomainName, policy: Policy, record_id: &str, now: SimInstant) {
-        self.fetches += 1;
-        self.entries.insert(
-            domain,
-            CachedPolicy {
-                policy,
-                record_id: record_id.to_string(),
-                fetched_at: now,
-            },
-        );
+    pub fn store(&self, domain: DomainName, policy: Policy, record_id: &str, now: SimInstant) {
+        self.fetches.fetch_add(1, Ordering::Relaxed);
+        let entry = CachedPolicy {
+            policy,
+            record_id: record_id.to_string(),
+            fetched_at: now,
+        };
+        self.write(&domain).insert(domain, entry);
     }
 
-    /// Reads the raw entry (tests, instrumentation).
-    pub fn peek(&self, domain: &DomainName) -> Option<&CachedPolicy> {
-        self.entries.get(domain)
+    /// A copy of the raw entry, fresh or not (stale fallback, tests).
+    pub fn peek(&self, domain: &DomainName) -> Option<CachedPolicy> {
+        self.read(domain).get(domain).cloned()
     }
 
     /// Removes the entry for `domain`.
-    pub fn evict(&mut self, domain: &DomainName) -> bool {
-        self.entries.remove(domain).is_some()
+    pub fn evict(&self, domain: &DomainName) -> bool {
+        self.write(domain).remove(domain).is_some()
     }
 
     /// Removes every expired entry; returns how many were dropped.
-    pub fn evict_expired(&mut self, now: SimInstant) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|_, e| e.is_fresh(now));
-        before - self.entries.len()
+    pub fn evict_expired(&self, now: SimInstant) -> usize {
+        self.shards
+            .iter()
+            .map(|shard| {
+                let mut map = shard.write().expect("shard lock poisoned");
+                let before = map.len();
+                map.retain(|_, e| e.is_fresh(now));
+                before - map.len()
+            })
+            .sum()
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.shards
+            .iter()
+            .map(|s| s.read().expect("shard lock poisoned").len())
+            .sum()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// `(cache uses, completed fetches)` so far.
     pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.fetches)
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.fetches.load(Ordering::Relaxed),
+        )
     }
 
     /// A serializable snapshot of every entry, sorted by domain so the
-    /// bytes are canonical (checkpoint digests depend on it). Counters
-    /// are deliberately excluded: they are run-local instrumentation,
-    /// not protocol state.
+    /// bytes are canonical whatever the shard count (checkpoint digests
+    /// depend on it). Counters are deliberately excluded: they are
+    /// run-local instrumentation, not protocol state.
     pub fn snapshot(&self) -> Vec<(DomainName, CachedPolicy)> {
-        let mut entries: Vec<(DomainName, CachedPolicy)> = self
-            .entries
-            .iter()
-            .map(|(d, e)| (d.clone(), e.clone()))
-            .collect();
+        let mut entries = Vec::with_capacity(self.len());
+        for shard in &self.shards {
+            let map = shard.read().expect("shard lock poisoned");
+            entries.extend(map.iter().map(|(d, e)| (d.clone(), e.clone())));
+        }
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         entries
-    }
-
-    /// Rebuilds a cache from a [`snapshot`](PolicyCache::snapshot).
-    /// Duplicate domains keep the last entry; counters start at zero.
-    pub fn from_snapshot(entries: Vec<(DomainName, CachedPolicy)>) -> PolicyCache {
-        PolicyCache {
-            entries: entries.into_iter().collect(),
-            hits: 0,
-            fetches: 0,
-        }
     }
 }
 
@@ -242,19 +311,19 @@ mod tests {
 
     #[test]
     fn first_contact_fetches() {
-        let mut cache = PolicyCache::new();
+        let cache = PolicyCache::default();
         assert_eq!(
-            cache.decide(&n("example.com"), Some("id1"), t0()),
+            cache.assess(&n("example.com"), Some("id1"), t0()),
             CacheDecision::Fetch(RefreshReason::NoEntry)
         );
     }
 
     #[test]
     fn fresh_entry_with_same_id_is_used() {
-        let mut cache = PolicyCache::new();
+        let cache = PolicyCache::default();
         cache.store(n("example.com"), policy(604_800), "id1", t0());
         let later = t0() + Duration::days(3);
-        let CacheDecision::UseCached(entry) = cache.decide(&n("example.com"), Some("id1"), later)
+        let CacheDecision::UseCached(entry) = cache.assess(&n("example.com"), Some("id1"), later)
         else {
             panic!("expected cached use")
         };
@@ -263,20 +332,20 @@ mod tests {
 
     #[test]
     fn id_change_triggers_refetch() {
-        let mut cache = PolicyCache::new();
+        let cache = PolicyCache::default();
         cache.store(n("example.com"), policy(604_800), "id1", t0());
         assert_eq!(
-            cache.decide(&n("example.com"), Some("id2"), t0() + Duration::hours(1)),
+            cache.assess(&n("example.com"), Some("id2"), t0() + Duration::hours(1)),
             CacheDecision::Fetch(RefreshReason::IdChanged)
         );
     }
 
     #[test]
     fn expiry_triggers_refetch() {
-        let mut cache = PolicyCache::new();
+        let cache = PolicyCache::default();
         cache.store(n("example.com"), policy(3600), "id1", t0());
         assert_eq!(
-            cache.decide(&n("example.com"), Some("id1"), t0() + Duration::hours(2)),
+            cache.assess(&n("example.com"), Some("id1"), t0() + Duration::hours(2)),
             CacheDecision::Fetch(RefreshReason::Expired)
         );
     }
@@ -285,9 +354,9 @@ mod tests {
     fn dns_outage_does_not_downgrade() {
         // Record lookup fails, but the cached policy is fresh: MTA-STS
         // still applies (TOFU downgrade protection).
-        let mut cache = PolicyCache::new();
+        let cache = PolicyCache::default();
         cache.store(n("example.com"), policy(604_800), "id1", t0());
-        let decision = cache.decide(&n("example.com"), None, t0() + Duration::days(1));
+        let decision = cache.assess(&n("example.com"), None, t0() + Duration::days(1));
         assert!(matches!(decision, CacheDecision::UseCachedDespiteDns(_)));
     }
 
@@ -298,9 +367,9 @@ mod tests {
         // coinciding with expiry erased exactly the entry the §3.3
         // stale fallback needs. The decision still says Fetch(Expired);
         // disposal is the caller's (`evict_expired`), not the decision's.
-        let mut cache = PolicyCache::new();
+        let cache = PolicyCache::default();
         cache.store(n("example.com"), policy(3600), "id1", t0());
-        let decision = cache.decide(&n("example.com"), None, t0() + Duration::days(1));
+        let decision = cache.assess(&n("example.com"), None, t0() + Duration::days(1));
         assert_eq!(decision, CacheDecision::Fetch(RefreshReason::Expired));
         assert!(
             cache.peek(&n("example.com")).is_some(),
@@ -313,7 +382,7 @@ mod tests {
 
     #[test]
     fn eviction() {
-        let mut cache = PolicyCache::new();
+        let cache = PolicyCache::default();
         cache.store(n("a.com"), policy(3600), "1", t0());
         cache.store(n("b.com"), policy(604_800), "1", t0());
         assert_eq!(cache.len(), 2);
@@ -325,11 +394,11 @@ mod tests {
 
     #[test]
     fn stats_count_uses_and_completed_fetches() {
-        let mut cache = PolicyCache::new();
-        let _ = cache.decide(&n("a.com"), Some("1"), t0()); // fetch recommended
+        let cache = PolicyCache::default();
+        let _ = cache.assess(&n("a.com"), Some("1"), t0()); // fetch recommended
         cache.store(n("a.com"), policy(3600), "1", t0()); // fetch completed
-        let _ = cache.decide(&n("a.com"), Some("1"), t0()); // hit
-        let _ = cache.decide(&n("a.com"), Some("2"), t0()); // fetch recommended (id)
+        let _ = cache.assess(&n("a.com"), Some("1"), t0()); // hit
+        let _ = cache.assess(&n("a.com"), Some("2"), t0()); // fetch recommended (id)
                                                             // Only the completed fetch counts; the two recommendations alone
                                                             // don't.
         assert_eq!(cache.stats(), (1, 1));
@@ -340,11 +409,11 @@ mod tests {
     #[test]
     fn failed_fetch_does_not_inflate_fetch_counter() {
         // Regression (counter drift): a caller whose HTTPS fetch fails
-        // after `decide` recommended one must not shift `stats()` away
+        // after `assess` recommended one must not shift `stats()` away
         // from the TLSRPT/ledger totals — the counter moves on `store`.
-        let mut cache = PolicyCache::new();
+        let cache = PolicyCache::default();
         for _ in 0..5 {
-            let d = cache.decide(&n("a.com"), Some("1"), t0());
+            let d = cache.assess(&n("a.com"), Some("1"), t0());
             assert!(matches!(d, CacheDecision::Fetch(_)));
             // Simulated fetch failure: the caller never stores.
         }
@@ -353,11 +422,11 @@ mod tests {
 
     #[test]
     fn max_age_zero_is_never_served() {
-        let mut cache = PolicyCache::new();
+        let cache = PolicyCache::default();
         cache.store(n("a.com"), policy(0), "1", t0());
         // Not even at the very instant it was stored.
         assert_eq!(
-            cache.decide(&n("a.com"), Some("1"), t0()),
+            cache.assess(&n("a.com"), Some("1"), t0()),
             CacheDecision::Fetch(RefreshReason::Expired)
         );
         // And a record outage must not serve it either: the entry is
@@ -365,7 +434,7 @@ mod tests {
         // for the caller's stale-fallback policy to dispose of).
         cache.store(n("a.com"), policy(0), "1", t0());
         assert_eq!(
-            cache.decide(&n("a.com"), None, t0()),
+            cache.assess(&n("a.com"), None, t0()),
             CacheDecision::Fetch(RefreshReason::Expired)
         );
         assert!(cache.peek(&n("a.com")).is_some());
@@ -376,9 +445,9 @@ mod tests {
         // u32::MAX seconds (~136 years) and u64::MAX (which does not even
         // fit i64) must both clamp, not wrap into the past.
         for max_age in [u64::from(u32::MAX), u64::MAX] {
-            let mut cache = PolicyCache::new();
+            let cache = PolicyCache::default();
             cache.store(n("a.com"), policy(max_age), "1", t0());
-            let entry = cache.peek(&n("a.com")).unwrap().clone();
+            let entry = cache.peek(&n("a.com")).unwrap();
             assert!(
                 entry.expires_at() > t0(),
                 "max_age={max_age} wrapped into the past"
@@ -386,7 +455,7 @@ mod tests {
             let far_future = t0() + Duration::days(365 * 100);
             assert!(entry.is_fresh(far_future), "max_age={max_age}");
             assert!(matches!(
-                cache.decide(&n("a.com"), Some("1"), far_future),
+                cache.assess(&n("a.com"), Some("1"), far_future),
                 CacheDecision::UseCached(_)
             ));
         }
@@ -394,12 +463,12 @@ mod tests {
 
     #[test]
     fn expiry_boundary_is_exclusive() {
-        let mut cache = PolicyCache::new();
+        let cache = PolicyCache::default();
         cache.store(n("a.com"), policy(3600), "1", t0());
         let exactly = t0() + Duration::seconds(3600);
         // At exactly max_age the entry is expired (strict <).
         assert_eq!(
-            cache.decide(&n("a.com"), Some("1"), exactly),
+            cache.assess(&n("a.com"), Some("1"), exactly),
             CacheDecision::Fetch(RefreshReason::Expired)
         );
     }

@@ -3,17 +3,20 @@
 //! Given the observations a sending MTA makes — the `_mta-sts` TXT lookup,
 //! the HTTPS policy fetch, the chosen MX host, and the STARTTLS certificate
 //! verdict — the engine produces the protocol outcome and the final action
-//! (deliver / refuse). It owns the TOFU [`PolicyCache`], so repeated
+//! (deliver / refuse). It owns the TOFU [`PolicyCache`] and resolves
+//! through [`crate::resolve`](mod@crate::resolve), so repeated
 //! deliveries to the same domain exercise caching, `id`-triggered refresh
-//! and the downgrade protections the paper discusses (§2.4, §2.6).
+//! and the downgrade protections the paper discusses (§2.4, §2.6) exactly
+//! as the delivery queue and the resolution daemon do.
 //!
 //! The engine is deliberately transport-free: the `sender` and `simnet`
 //! crates plug in real lookups; unit tests script the observations.
 
-use crate::cache::{CacheDecision, PolicyCache};
+use crate::cache::PolicyCache;
 use crate::matching::mx_matches_policy;
-use crate::policy::{parse_policy, Mode, Policy};
-use crate::record::{evaluate_record_set, RecordError};
+use crate::policy::Mode;
+use crate::record::RecordError;
+use crate::resolve::{report_outcome, resolve, ResolvedPolicy};
 use netbase::{DomainName, SimInstant};
 use pkix::CertError;
 use serde::{Deserialize, Serialize};
@@ -120,8 +123,8 @@ where
 {
     /// The recipient domain.
     pub domain: &'a DomainName,
-    /// The TXT strings at `_mta-sts.<domain>`, or `None` when the lookup
-    /// failed or the name does not exist.
+    /// The TXT strings at `_mta-sts.<domain>` (none when the name does
+    /// not exist), or `None` when the lookup failed.
     pub record_txts: Option<&'a [String]>,
     /// Fetches the policy document over HTTPS (strict TLS per the RFC).
     pub fetch_policy: FetchFn,
@@ -157,23 +160,15 @@ impl SenderEngine {
         self.cache.evict(domain)
     }
 
-    /// How many times a failed refresh fell back to a still-fresh cached
-    /// policy (RFC 8461 §3.3 degraded mode).
+    /// How many times a retained cached policy governed after a failed
+    /// refresh or record lookup (RFC 8461 §3.3 degraded mode).
     pub fn fetch_fallbacks(&self) -> u64 {
         self.fetch_fallbacks
     }
 
-    /// The still-fresh cached policy for `domain`, if a failed refresh can
-    /// fall back to it.
-    fn stale_fallback(&self, domain: &DomainName, now: SimInstant) -> Option<Policy> {
-        self.cache
-            .peek(domain)
-            .filter(|entry| entry.is_fresh(now))
-            .map(|entry| entry.policy.clone())
-    }
-
     /// Evaluates one delivery, updating the cache, and returns the
-    /// protocol outcome plus the action to take.
+    /// protocol outcome plus the action to take. The policy comes from
+    /// [`resolve`]; this adds the MX/TLS half.
     pub fn evaluate<FetchFn, CertFn>(
         &mut self,
         obs: DeliveryObservation<'_, FetchFn, CertFn>,
@@ -182,125 +177,32 @@ impl SenderEngine {
         FetchFn: FnOnce() -> Result<String, String>,
         CertFn: FnOnce() -> Result<(), StsFailure>,
     {
-        let record = obs.record_txts.map(evaluate_record_set);
-        let record_id: Option<String> = match &record {
-            Some(Ok(r)) => Some(r.id.clone()),
-            _ => None,
-        };
-
-        // Cache consultation drives whether we fetch.
-        let decision = self.cache.decide(obs.domain, record_id.as_deref(), obs.now);
-
-        let (policy, from_cache): (Policy, bool) = match decision {
-            CacheDecision::UseCached(entry) | CacheDecision::UseCachedDespiteDns(entry) => {
-                (entry.policy, true)
-            }
-            CacheDecision::Fetch(_) => {
-                // A fetch requires a currently valid record.
-                let record = match record {
-                    None => return (StsOutcome::NotApplicable, SenderAction::DeliverUnvalidated),
-                    Some(Err(RecordError::NoRecord)) => {
-                        return (StsOutcome::NotApplicable, SenderAction::DeliverUnvalidated)
-                    }
-                    Some(Err(e)) => {
-                        let outcome = StsOutcome::RecordInvalid(e);
-                        let action = action_for(&outcome);
-                        return (outcome, action);
-                    }
-                    Some(Ok(r)) => r,
-                };
-                match (obs.fetch_policy)() {
-                    Ok(document) => match parse_policy(&document) {
-                        Ok(policy) => {
-                            self.cache.store(
-                                obs.domain.clone(),
-                                policy.clone(),
-                                &record.id,
-                                obs.now,
-                            );
-                            (policy, false)
-                        }
-                        Err(e) => {
-                            // A refresh that yields garbage must not defeat
-                            // a still-fresh cached policy (RFC 8461 §3.3):
-                            // an attacker able to swap the document (after
-                            // changing the record id) would otherwise
-                            // downgrade the domain to unprotected delivery.
-                            if let Some(policy) = self.stale_fallback(obs.domain, obs.now) {
-                                self.fetch_fallbacks += 1;
-                                (policy, true)
-                            } else {
-                                // Unparsable (e.g. empty) policy: sender
-                                // treats the domain as unprotected
-                                // (≈ `none`, §5).
-                                let outcome = StsOutcome::PolicyUnavailable {
-                                    reason: format!("policy parse failure: {e}"),
-                                };
-                                let action = action_for(&outcome);
-                                return (outcome, action);
-                            }
-                        }
-                    },
-                    Err(e) => {
-                        // Same degraded mode for a broken fetch: keep
-                        // honoring the cached policy until `max_age` runs
-                        // out rather than dropping to unprotected delivery.
-                        if let Some(policy) = self.stale_fallback(obs.domain, obs.now) {
-                            self.fetch_fallbacks += 1;
-                            (policy, true)
-                        } else {
-                            let outcome = StsOutcome::PolicyUnavailable {
-                                reason: format!("policy fetch failure: {e}"),
-                            };
-                            let action = action_for(&outcome);
-                            return (outcome, action);
-                        }
-                    }
+        let (resolved, _) = resolve(
+            &self.cache,
+            obs.domain,
+            obs.record_txts,
+            obs.fetch_policy,
+            obs.now,
+        );
+        let failure = match &resolved {
+            ResolvedPolicy::Active { policy, stale, .. } => {
+                self.fetch_fallbacks += u64::from(*stale);
+                if policy.mode == Mode::None {
+                    // `none` mode: no validation at all.
+                    None
+                } else if !mx_matches_policy(obs.mx_host, policy) {
+                    // MX pattern matching precedes the TLS session (§2.4).
+                    Some(StsFailure::MxNotListed)
+                } else {
+                    // STARTTLS + certificate validation.
+                    (obs.check_mx_tls)().err()
                 }
             }
+            _ => None,
         };
-
-        // `none` mode: no validation at all.
-        if policy.mode == Mode::None {
-            let outcome = StsOutcome::Validated {
-                mode: Mode::None,
-                from_cache,
-            };
-            let action = action_for(&outcome);
-            return (outcome, action);
-        }
-
-        // MX pattern matching precedes the TLS session (§2.4).
-        if !mx_matches_policy(obs.mx_host, &policy) {
-            let outcome = StsOutcome::Failed {
-                mode: policy.mode,
-                failure: StsFailure::MxNotListed,
-                from_cache,
-            };
-            let action = action_for(&outcome);
-            return (outcome, action);
-        }
-
-        // STARTTLS + certificate validation.
-        match (obs.check_mx_tls)() {
-            Ok(()) => {
-                let outcome = StsOutcome::Validated {
-                    mode: policy.mode,
-                    from_cache,
-                };
-                let action = action_for(&outcome);
-                (outcome, action)
-            }
-            Err(failure) => {
-                let outcome = StsOutcome::Failed {
-                    mode: policy.mode,
-                    failure,
-                    from_cache,
-                };
-                let action = action_for(&outcome);
-                (outcome, action)
-            }
-        }
+        let outcome = report_outcome(Some(&resolved), failure.as_ref());
+        let action = action_for(&outcome);
+        (outcome, action)
     }
 }
 
@@ -730,6 +632,42 @@ mod tests {
         assert!(matches!(outcome, StsOutcome::PolicyUnavailable { .. }));
         assert_eq!(action, SenderAction::DeliverUnvalidated);
         assert_eq!(e.fetch_fallbacks(), 0);
+    }
+
+    #[test]
+    fn lookup_failure_after_expiry_keeps_enforcing() {
+        // A `_mta-sts` lookup that fails (not NXDOMAIN) after `max_age`
+        // must not release the domain to an attacker-chosen MX: the
+        // retained enforce policy keeps governing, as in the queue and
+        // the resolution daemon, and counts as a stale fallback.
+        let mut e = SenderEngine::new();
+        let short = "version: STSv1\r\nmode: enforce\r\nmx: mx.example.com\r\nmax_age: 3600\r\n";
+        let _ = eval(
+            &mut e,
+            Some(record()),
+            Ok(short.to_string()),
+            "mx.example.com",
+            Ok(()),
+            t0(),
+        );
+        let (outcome, action) = eval(
+            &mut e,
+            None,
+            Err("blocked".into()),
+            "evil.attacker.net",
+            Ok(()),
+            t0() + Duration::days(1),
+        );
+        assert_eq!(
+            outcome,
+            StsOutcome::Failed {
+                mode: Mode::Enforce,
+                failure: StsFailure::MxNotListed,
+                from_cache: true
+            }
+        );
+        assert_eq!(action, SenderAction::Refuse);
+        assert_eq!(e.fetch_fallbacks(), 1);
     }
 
     #[test]

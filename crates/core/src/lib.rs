@@ -18,8 +18,11 @@
 //!   inconsistency taxonomy (TLD mismatch / complete mismatch / 3LD+ /
 //!   typos with edit distance ≤ 3, §4.4);
 //! - [`cache`]: the sender-side TOFU policy cache with `max_age` expiry and
-//!   `id`-triggered refresh (§2.4);
-//! - [`engine`]: the sender decision procedure — fetch, match, validate,
+//!   `id`-triggered refresh (§2.4), sharded for concurrent callers;
+//! - [`resolve`](mod@resolve): RFC 8461 §3.3 policy resolution over that
+//!   cache — the cache/fetch/stale-fallback rule every sender-side caller
+//!   shares;
+//! - [`engine`]: the sender decision procedure — resolve, match, validate,
 //!   and the enforce/testing/none semantics deciding delivery;
 //! - [`delegation`]: CNAME-based policy-delegation analysis (§2.5, §5) and
 //!   the same-provider inference of §4.5.1;
@@ -33,6 +36,7 @@ pub mod matching;
 pub mod policy;
 pub mod record;
 pub mod removal;
+pub mod resolve;
 pub mod tlsrpt;
 pub mod tlsrpt_report;
 
@@ -43,6 +47,9 @@ pub use matching::{
 };
 pub use policy::{parse_policy, Mode, MxPattern, Policy, PolicyError};
 pub use record::{evaluate_record_set, parse_record, RecordError, StsRecord};
+pub use resolve::{
+    classify, report_outcome, resolve, settle, Classified, Disposition, ResolvedPolicy,
+};
 pub use tlsrpt::{parse_tlsrpt, TlsRptError, TlsRptRecord};
 pub use tlsrpt_report::{ReportBuilder, ResultType, TlsReport};
 

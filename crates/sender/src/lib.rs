@@ -28,12 +28,13 @@
 //!   per-recipient envelope status, multi-MX fail-over, typed
 //!   4xx-requeue / 5xx-bounce classification, and checkpoint/resume;
 //! - [`enforce`]: MTA-STS enforcement *inside* the queue — per-(domain,
-//!   wave) policy resolution through the TOFU cache with RFC 8461 §3.3
-//!   stale fallback, typed per-attempt TLS requirements, and DANE
-//!   precedence (RFC 7672);
+//!   wave) policy resolution through
+//!   [`mtasts::resolve`](mod@mtasts::resolve), typed per-attempt TLS
+//!   requirements, and DANE precedence (RFC 7672);
 //! - [`resolver`]: the shared-concurrency policy-resolution service —
-//!   sharded TOFU cache with lock-free reads, single-flight refresh,
-//!   token-bucket fetch admission, and a Prometheus `/metrics` surface;
+//!   the sharded [`mtasts::PolicyCache`] under concurrent callers,
+//!   single-flight refresh, token-bucket fetch admission, and a
+//!   Prometheus `/metrics` surface;
 //! - [`scenario`]: the degraded-MX chaos worlds (hard-down, flapping,
 //!   tier outage, greylisting) shared by tests, bench, and example.
 
@@ -51,10 +52,7 @@ pub mod scenario;
 pub use analysis::{analyze, SenderStats};
 pub use breaker::{Admission, BreakerBoard, BreakerConfig, BreakerState, HostEvent};
 pub use delivery::{DeliveryConfig, DeliveryEngine, DeliveryPhase, DeliveryRecord, DeliveryStats};
-pub use enforce::{
-    resolve_domain, EnforcementConfig, ResolvedPolicy, StsApplication, TlsEvidence, TlsRequirement,
-    WavePolicies,
-};
+pub use enforce::{EnforcementConfig, StsApplication, TlsEvidence, TlsRequirement, WavePolicies};
 pub use mx_select::{filter_ladder_for_policy, implicit_mx, mx_ladder, MxCandidate};
 pub use pipeline::{
     ledger_digest, AttemptDisposition, BounceReason, DeliveryQueue, FastTransport, MessageRecord,

@@ -33,11 +33,14 @@
 
 use crate::breaker::{Admission, BreakerBoard, BreakerConfig, HostEvent};
 use crate::enforce::{
-    EnforcementConfig, ResolvedPolicy, StsApplication, TlsEvidence, TlsRequirement, WavePolicies,
+    EnforcementConfig, StsApplication, TlsEvidence, TlsRequirement, WavePolicies,
 };
 use crate::mx_select::{filter_ladder_for_policy, implicit_mx, mx_ladder, MxCandidate};
-use crate::resolver::{resolve_shared, ResolverConfig, ShardedPolicyCache, TransportSource};
-use mtasts::{CachedPolicy, Mode, ReportBuilder, StsFailure, StsOutcome};
+use crate::resolver::{resolve_shared, ResolverConfig, TransportSource};
+use mtasts::{
+    report_outcome, CachedPolicy, Mode, PolicyCache, ReportBuilder, ResolvedPolicy, StsFailure,
+    StsOutcome,
+};
 use netbase::AttemptEvent;
 use netbase::{map_sharded, DetRng, DomainName, Duration, RetryPolicy, RetryVerdict, SimInstant};
 use serde::{Deserialize, Serialize};
@@ -575,13 +578,10 @@ impl DeliveryQueue {
         }
         // The TOFU policy cache rides the checkpoint so a resumed run
         // replays the same cache decisions the uninterrupted run makes.
-        // Since PR 8 it is the resolver's sharded cache, so the queue
-        // and a co-resident daemon share one implementation; the
-        // snapshot format (sorted entries) is unchanged.
-        let sts_cache = ShardedPolicyCache::from_snapshot(
-            ckpt.sts_cache.clone(),
-            ResolverConfig::default().shards,
-        );
+        // It is the same cache type a co-resident daemon holds; the
+        // snapshot format (sorted entries) is shard-count independent.
+        let sts_cache =
+            PolicyCache::from_snapshot(ckpt.sts_cache.clone(), ResolverConfig::default().shards);
         let mut index = ckpt.next_index;
         let mut processed_here = 0usize;
 
@@ -679,7 +679,7 @@ impl DeliveryQueue {
 /// submission order, at the admission instant of its first message.
 fn resolve_wave<T: MxTransport>(
     cfg: &QueueConfig,
-    cache: &ShardedPolicyCache,
+    cache: &PolicyCache,
     transport: &T,
     batch: &[QueuedMessage],
     base_seq: u64,
@@ -844,8 +844,8 @@ fn process_message<T: MxTransport>(
             obsv::counter!("delivery.delivered");
             let validated = matches!(success.evidence, TlsEvidence::Validated)
                 && success.soft_failure.is_none();
-            let sts_outcome = enforcement
-                .map(|_| crate::enforce::report_outcome(resolution, success.soft_failure.as_ref()));
+            let sts_outcome =
+                enforcement.map(|_| report_outcome(resolution, success.soft_failure.as_ref()));
             (
                 MessageStatus::Delivered {
                     mx_host: success.host,
@@ -876,8 +876,8 @@ fn process_message<T: MxTransport>(
                 }
                 _ => match err.policy_refusal {
                     Some(failure) => {
-                        let outcome = enforcement
-                            .map(|_| crate::enforce::report_outcome(resolution, Some(&failure)));
+                        let outcome =
+                            enforcement.map(|_| report_outcome(resolution, Some(&failure)));
                         (BounceReason::PolicyRefused { failure }, outcome)
                     }
                     None => (

@@ -1,22 +1,20 @@
 //! The shared-concurrency policy-resolution service: "how do I deliver
-//! to domain X right now?" for millions of queued messages (ROADMAP
-//! item 2; paper §2.4/§3.3).
+//! to domain X right now?" for millions of queued messages (paper
+//! §2.4/§3.3).
 //!
-//! The per-message engine ([`crate::delivery`]) and the queue's per-wave
-//! resolution ([`crate::enforce`]) both answer that question for *one*
-//! caller at a time over a private [`PolicyCache`]. A long-running MTA
-//! answers it for hundreds of concurrent delivery workers, and the
-//! sender-side measurements ("Lazy Gatekeepers", PAPERS.md) show that
-//! *this* layer — what the cache does under live traffic — decides how
-//! much protection MTA-STS actually delivers. This module is that
+//! The resolution rule itself lives once, in
+//! [`mtasts::resolve`](mod@mtasts::resolve); the per-message engine and
+//! the queue's per-wave resolution call it one domain at a time. A long-running MTA answers the question for
+//! hundreds of concurrent delivery workers, and the sender-side
+//! measurements ("Lazy Gatekeepers", PAPERS.md) show that *this* layer —
+//! what the cache does under live traffic — decides how much protection
+//! MTA-STS actually delivers. This module wraps the rule in that
 //! service:
 //!
-//! - **[`ShardedPolicyCache`]** — `RwLock`-per-shard over the existing
-//!   [`PolicyCache`] decision logic. Reads (the overwhelmingly common
-//!   warm-path operation) take a shard read lock and never write, so
-//!   they proceed concurrently; writes touch exactly one shard. Shard
-//!   assignment is FNV-1a over the domain's labels, so it is stable
-//!   across runs and processes.
+//! - **Shared cache** — one [`PolicyCache`], `RwLock`-per-shard: reads
+//!   (the overwhelmingly common warm-path operation) take a shard read
+//!   lock and never write, so they proceed concurrently; writes touch
+//!   exactly one shard.
 //! - **Single-flight refresh** — a thundering herd of N workers
 //!   resolving the same cold domain triggers exactly **one** policy
 //!   fetch: the first caller becomes the flight leader, the other N−1
@@ -51,17 +49,14 @@
 //! planned once on the single logical bucket, and stores fold back in
 //! submission order.
 
-use crate::enforce::ResolvedPolicy;
 use crate::pipeline::MxTransport;
-use mtasts::{
-    evaluate_record_set, parse_policy, CacheDecision, CachedPolicy, Mode, PolicyCache, RecordError,
-    StsRecord,
-};
+use mtasts::{classify, settle, CachedPolicy, Classified, Mode, PolicyCache, ResolvedPolicy};
+pub use mtasts::{Disposition, PolicyCache as ShardedPolicyCache};
 use netbase::{map_sharded, DomainName, Duration, SimInstant, TokenBucket};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex};
 
 // ---------------------------------------------------------------------
 // Policy source
@@ -94,363 +89,33 @@ impl<T: MxTransport + ?Sized> PolicySource for TransportSource<'_, T> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Sharded cache
-// ---------------------------------------------------------------------
-
-/// FNV-1a 64-bit, fed incrementally (shard selection, ledger digests).
-fn fnv64(seed: u64, bytes: &[u8]) -> u64 {
-    let mut hash = seed;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// The shard a domain maps to among `n` shards (`n` a power of two):
-/// FNV-1a over its labels, stable across runs and processes.
-fn shard_index_for(domain: &DomainName, n: usize) -> usize {
-    let mut h = FNV_OFFSET;
-    for label in domain.labels() {
-        h = fnv64(h, label.as_bytes());
-        h = fnv64(h, b".");
-    }
-    (h as usize) & (n - 1)
-}
-
-/// A concurrent TOFU policy cache: `RwLock`-per-shard over
-/// [`PolicyCache`]. Decision logic is entirely the inner cache's
-/// ([`PolicyCache::assess`]), so a sharded cache is observationally
-/// equivalent to one big `PolicyCache` — the property the oracle
-/// cross-check proptest pins.
-#[derive(Debug)]
-pub struct ShardedPolicyCache {
-    shards: Vec<RwLock<PolicyCache>>,
-    /// Cache uses (served decisions), summed across all callers.
-    hits: AtomicU64,
-}
-
-impl ShardedPolicyCache {
-    /// A cache with `shards` shards (rounded up to a power of two,
-    /// minimum 1).
-    pub fn new(shards: usize) -> ShardedPolicyCache {
-        let n = shards.max(1).next_power_of_two();
-        ShardedPolicyCache {
-            shards: (0..n).map(|_| RwLock::new(PolicyCache::new())).collect(),
-            hits: AtomicU64::new(0),
-        }
-    }
-
-    /// Rebuilds a cache from a [`snapshot`](ShardedPolicyCache::snapshot)
-    /// (same entry format as [`PolicyCache::snapshot`], so pipeline
-    /// checkpoints written before the sharded cache still restore).
-    /// Counters start at zero — seeding is not traffic.
-    pub fn from_snapshot(
-        entries: Vec<(DomainName, CachedPolicy)>,
-        shards: usize,
-    ) -> ShardedPolicyCache {
-        let n = shards.max(1).next_power_of_two();
-        let mut per_shard: Vec<Vec<(DomainName, CachedPolicy)>> =
-            (0..n).map(|_| Vec::new()).collect();
-        for (domain, entry) in entries {
-            per_shard[shard_index_for(&domain, n)].push((domain, entry));
-        }
-        // Per-shard `from_snapshot` keeps counters at zero: seeding is
-        // not fetch traffic.
-        ShardedPolicyCache {
-            shards: per_shard
-                .into_iter()
-                .map(|entries| RwLock::new(PolicyCache::from_snapshot(entries)))
-                .collect(),
-            hits: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a domain lives in: FNV-1a over its labels, stable
-    /// across runs, processes, and shard-count-preserving rebuilds.
-    pub fn shard_index(&self, domain: &DomainName) -> usize {
-        shard_index_for(domain, self.shards.len())
-    }
-
-    /// The cache decision for `domain` under a shard **read** lock —
-    /// the lock-free-read warm path. Counts a hit when the decision is
-    /// served from cache.
-    pub fn assess(
-        &self,
-        domain: &DomainName,
-        current_record_id: Option<&str>,
-        now: SimInstant,
-    ) -> CacheDecision {
-        let shard = self.shards[self.shard_index(domain)]
-            .read()
-            .expect("shard lock poisoned");
-        let decision = shard.assess(domain, current_record_id, now);
-        if matches!(
-            decision,
-            CacheDecision::UseCached(_) | CacheDecision::UseCachedDespiteDns(_)
-        ) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        decision
-    }
-
-    /// Stores a freshly fetched policy (shard write lock; the inner
-    /// cache counts the completed fetch).
-    pub fn store(
-        &self,
-        domain: DomainName,
-        policy: mtasts::Policy,
-        record_id: &str,
-        now: SimInstant,
-    ) {
-        let idx = self.shard_index(&domain);
-        self.shards[idx]
-            .write()
-            .expect("shard lock poisoned")
-            .store(domain, policy, record_id, now);
-    }
-
-    /// A clone of the raw entry, fresh or not (stale-fallback reads).
-    pub fn entry_clone(&self, domain: &DomainName) -> Option<CachedPolicy> {
-        self.shards[self.shard_index(domain)]
-            .read()
-            .expect("shard lock poisoned")
-            .peek(domain)
-            .cloned()
-    }
-
-    /// Removes every expired entry across all shards; returns how many
-    /// were dropped. This is the disposal path `decide`/`assess`
-    /// deliberately do not take (stale fallback needs the entries).
-    pub fn evict_expired(&self, now: SimInstant) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.write().expect("shard lock poisoned").evict_expired(now))
-            .sum()
-    }
-
-    /// Live entries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("shard lock poisoned").len())
-            .sum()
-    }
-
-    /// True when every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `(cache uses, completed fetches)` across all shards.
-    pub fn stats(&self) -> (u64, u64) {
-        let fetches = self
-            .shards
-            .iter()
-            .map(|s| s.read().expect("shard lock poisoned").stats().1)
-            .sum();
-        (self.hits.load(Ordering::Relaxed), fetches)
-    }
-
-    /// A canonical snapshot: every entry from every shard, sorted by
-    /// domain — byte-identical to the equivalent single
-    /// [`PolicyCache::snapshot`], whatever the shard count (the
-    /// shard-merge determinism property).
-    pub fn snapshot(&self) -> Vec<(DomainName, CachedPolicy)> {
-        let mut entries: Vec<(DomainName, CachedPolicy)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.read().expect("shard lock poisoned").snapshot())
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        entries
-    }
-}
-
-// ---------------------------------------------------------------------
-// Shared resolution (pipeline + resolver leaders)
-// ---------------------------------------------------------------------
-
-/// How a resolution was satisfied — the ledger-facing classification
-/// behind the service counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Disposition {
-    /// Fresh cache entry, record id unchanged.
-    Hit,
-    /// Fresh cache entry despite a failed record lookup (TOFU
-    /// downgrade protection).
-    HitDespiteDns,
-    /// A completed HTTPS fetch (this caller was the flight leader).
-    Fetched,
-    /// Parked on another caller's in-flight fetch and reused its result.
-    Coalesced,
-    /// Refresh failed; a retained cached policy governs (RFC 8461 §3.3).
-    StaleFallback,
-    /// No record (or NXDOMAIN): MTA-STS does not apply.
-    Undeployed,
-    /// A record exists but is invalid (counts as not deployed, §3.1).
-    RecordInvalid,
-    /// Fetch failed and nothing cached could take over.
-    Unavailable,
-    /// Admission control refused the fetch leg (token bucket empty or
-    /// delay past the bound).
-    Shed,
-}
-
-/// The pre-evaluated `_mta-sts` record lookup.
-type RecordLookup = Option<Result<StsRecord, RecordError>>;
-
-fn evaluate_lookup(txts: Option<&[String]>) -> RecordLookup {
-    txts.map(evaluate_record_set)
-}
-
-fn record_id_of(record: &RecordLookup) -> Option<String> {
-    match record {
-        Some(Ok(r)) => Some(r.id.clone()),
-        _ => None,
-    }
-}
-
-/// §3.3 stale fallback against the sharded cache: a still-fresh entry
-/// keeps governing after a failed refresh; an expired one never
-/// resurrects *on this path* (the record was readable, so the domain
-/// demonstrably still publishes MTA-STS — a dark policy host past
-/// `max_age` resolves Unavailable, exactly like [`crate::enforce`]).
-fn stale_or_shared(
-    cache: &ShardedPolicyCache,
-    domain: &DomainName,
-    now: SimInstant,
-    reason: String,
-) -> (ResolvedPolicy, Disposition) {
-    match cache.entry_clone(domain).filter(|e| e.is_fresh(now)) {
-        Some(entry) => (
-            ResolvedPolicy::Active {
-                policy: entry.policy,
-                from_cache: true,
-                stale: true,
-            },
-            Disposition::StaleFallback,
-        ),
-        None => (
-            ResolvedPolicy::Unavailable { reason },
-            Disposition::Unavailable,
-        ),
-    }
-}
-
-/// Resolves `domain` against the shared cache with a pre-evaluated
-/// record lookup. `admit_fetch` gates the HTTPS leg (admission
-/// control); everything up to it is lock-free reads plus at most one
-/// shard write on a completed fetch.
-///
-/// This is the single implementation both the delivery pipeline's
-/// per-wave resolution and the resolver's flight leaders run — the
-/// semantics mirror [`crate::enforce::resolve_domain`] over one big
-/// cache, which the oracle cross-check proptest verifies.
-fn resolve_with_record<S: PolicySource + ?Sized>(
-    cache: &ShardedPolicyCache,
-    source: &S,
-    domain: &DomainName,
-    record: RecordLookup,
-    now: SimInstant,
-    admit_fetch: &mut dyn FnMut(SimInstant) -> bool,
-) -> (ResolvedPolicy, Disposition) {
-    let record_id = record_id_of(&record);
-    match cache.assess(domain, record_id.as_deref(), now) {
-        CacheDecision::UseCached(entry) => (
-            ResolvedPolicy::Active {
-                policy: entry.policy,
-                from_cache: true,
-                stale: false,
-            },
-            Disposition::Hit,
-        ),
-        CacheDecision::UseCachedDespiteDns(entry) => (
-            ResolvedPolicy::Active {
-                policy: entry.policy,
-                from_cache: true,
-                stale: false,
-            },
-            Disposition::HitDespiteDns,
-        ),
-        CacheDecision::Fetch(_) => match record {
-            // Record lookup failed (SERVFAIL-class): any retained entry —
-            // even past `max_age`, since `decide` no longer disposes of
-            // it — keeps governing (§3.3; a sender cannot tell blocked
-            // DNS from an outage). Genuine removal is the NXDOMAIN arm.
-            None => match cache.entry_clone(domain) {
-                Some(entry) => (
-                    ResolvedPolicy::Active {
-                        policy: entry.policy,
-                        from_cache: true,
-                        stale: true,
-                    },
-                    Disposition::StaleFallback,
-                ),
-                None => (ResolvedPolicy::NotApplicable, Disposition::Undeployed),
-            },
-            Some(Err(RecordError::NoRecord)) => {
-                (ResolvedPolicy::NotApplicable, Disposition::Undeployed)
-            }
-            Some(Err(e)) => (ResolvedPolicy::RecordInvalid(e), Disposition::RecordInvalid),
-            Some(Ok(rec)) => {
-                if !admit_fetch(now) {
-                    return (
-                        ResolvedPolicy::Unavailable {
-                            reason: "fetch shed by admission control".to_string(),
-                        },
-                        Disposition::Shed,
-                    );
-                }
-                match source.fetch_policy(domain, now) {
-                    Ok(body) => match parse_policy(&body) {
-                        Ok(policy) => {
-                            cache.store(domain.clone(), policy.clone(), &rec.id, now);
-                            (
-                                ResolvedPolicy::Active {
-                                    policy,
-                                    from_cache: false,
-                                    stale: false,
-                                },
-                                Disposition::Fetched,
-                            )
-                        }
-                        Err(e) => stale_or_shared(
-                            cache,
-                            domain,
-                            now,
-                            format!("policy parse failure: {e:?}"),
-                        ),
-                    },
-                    Err(e) => {
-                        stale_or_shared(cache, domain, now, format!("policy fetch failure: {e}"))
-                    }
-                }
-            }
-        },
-    }
-}
-
 /// Sequential resolution through the shared cache — the delivery
 /// pipeline's per-wave entry point (no admission, no flight: wave
 /// resolution is already one-caller-per-domain by construction).
 pub fn resolve_shared<S: PolicySource + ?Sized>(
-    cache: &ShardedPolicyCache,
+    cache: &PolicyCache,
     source: &S,
     domain: &DomainName,
     now: SimInstant,
 ) -> (ResolvedPolicy, Disposition) {
     let txts = source.record_txts(domain, now);
-    let record = evaluate_lookup(txts.as_deref());
-    resolve_with_record(cache, source, domain, record, now, &mut |_| true)
+    mtasts::resolve(
+        cache,
+        domain,
+        txts.as_deref(),
+        || source.fetch_policy(domain, now),
+        now,
+    )
+}
+
+/// The answer for a fetch the admission control refused.
+fn shed() -> (ResolvedPolicy, Disposition) {
+    (
+        ResolvedPolicy::Unavailable {
+            reason: "fetch shed by admission control".to_string(),
+        },
+        Disposition::Shed,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -614,7 +279,7 @@ pub struct Resolution {
 /// compare.
 pub fn resolution_digest(rows: &[Resolution]) -> String {
     let payload = serde_json::to_string(rows).expect("ledger serializes");
-    format!("{:016x}", fnv64(FNV_OFFSET, payload.as_bytes()))
+    format!("{:016x}", obsv::health::fnv64(payload.as_bytes()))
 }
 
 fn row_for(
@@ -641,7 +306,7 @@ fn row_for(
 /// The concurrent policy-resolution service.
 pub struct PolicyResolver {
     cfg: ResolverConfig,
-    cache: ShardedPolicyCache,
+    cache: PolicyCache,
     /// Per-shard in-flight fetch slots (single-flight).
     inflight: Vec<Mutex<HashMap<DomainName, Arc<Flight>>>>,
     /// The single logical admission bucket (per-shard clocks are
@@ -664,7 +329,7 @@ impl PolicyResolver {
         epoch: SimInstant,
         entries: Vec<(DomainName, CachedPolicy)>,
     ) -> PolicyResolver {
-        let cache = ShardedPolicyCache::from_snapshot(entries, cfg.shards);
+        let cache = PolicyCache::from_snapshot(entries, cfg.shards);
         let inflight = (0..cache.shard_count()).map(|_| Mutex::default()).collect();
         let bucket = cfg
             .admission
@@ -680,7 +345,7 @@ impl PolicyResolver {
     }
 
     /// The underlying sharded cache (snapshots, sweeps, tests).
-    pub fn cache(&self) -> &ShardedPolicyCache {
+    pub fn cache(&self) -> &PolicyCache {
         &self.cache
     }
 
@@ -778,36 +443,16 @@ impl PolicyResolver {
     ) -> (ResolvedPolicy, Disposition) {
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
         let txts = source.record_txts(domain, now);
-        let record = evaluate_lookup(txts.as_deref());
-        let record_id = record_id_of(&record);
 
         // Warm path: one shard read lock, no writes anywhere.
-        match self.cache.assess(domain, record_id.as_deref(), now) {
-            CacheDecision::UseCached(entry) => {
-                self.metrics.count(Disposition::Hit);
+        if let Classified::Served(resolved, disposition) =
+            classify(&self.cache, domain, txts.as_deref(), now)
+        {
+            self.metrics.count(disposition);
+            if matches!(disposition, Disposition::Hit | Disposition::HitDespiteDns) {
                 obsv::counter!("resolver.hit");
-                return (
-                    ResolvedPolicy::Active {
-                        policy: entry.policy,
-                        from_cache: true,
-                        stale: false,
-                    },
-                    Disposition::Hit,
-                );
             }
-            CacheDecision::UseCachedDespiteDns(entry) => {
-                self.metrics.count(Disposition::HitDespiteDns);
-                obsv::counter!("resolver.hit");
-                return (
-                    ResolvedPolicy::Active {
-                        policy: entry.policy,
-                        from_cache: true,
-                        stale: false,
-                    },
-                    Disposition::HitDespiteDns,
-                );
-            }
-            CacheDecision::Fetch(_) => {}
+            return (resolved, disposition);
         }
 
         // Cold path: join or lead the flight for this domain.
@@ -836,15 +481,32 @@ impl PolicyResolver {
             return (resolved, Disposition::Coalesced);
         }
 
-        // Leader: re-run the full resolution (the cache may have been
-        // filled between the assessment above and taking leadership —
-        // `resolve_with_record` re-assesses first, so a just-landed
-        // policy turns this flight into a hit without a second fetch).
-        let mut admit = |at: SimInstant| match &self.bucket {
-            Some(bucket) => bucket.lock().expect("bucket lock poisoned").try_acquire(at),
-            None => true,
+        // Leader: classify again (the cache may have been filled between
+        // the warm path and taking leadership — a just-landed policy
+        // turns this flight into a hit without a second fetch).
+        let outcome = match classify(&self.cache, domain, txts.as_deref(), now) {
+            Classified::Served(resolved, disposition) => (resolved, disposition),
+            Classified::NeedsFetch(record) => {
+                let admitted = match &self.bucket {
+                    Some(bucket) => bucket
+                        .lock()
+                        .expect("bucket lock poisoned")
+                        .try_acquire(now),
+                    None => true,
+                };
+                if admitted {
+                    settle(
+                        &self.cache,
+                        domain,
+                        &record,
+                        source.fetch_policy(domain, now),
+                        now,
+                    )
+                } else {
+                    shed()
+                }
+            }
         };
-        let outcome = resolve_with_record(&self.cache, source, domain, record, now, &mut admit);
         {
             let mut slot = flight.result.lock().expect("flight lock poisoned");
             *slot = Some(outcome.clone());
@@ -865,8 +527,9 @@ impl PolicyResolver {
     /// requests submitted at `submitted`) and returns one ledger row
     /// per request, in submission order.
     ///
-    /// Within the batch, duplicate cold domains coalesce onto the first
-    /// occurrence's fetch — the batch-mode face of single-flight.
+    /// Within the batch, duplicates of a domain that needs a fetch
+    /// coalesce onto the first occurrence's fetch — the batch-mode face
+    /// of single-flight.
     /// Fetch admission instants are planned once on the logical bucket
     /// via [`TokenBucket::plan_admissions`] (or the shedding variant
     /// when a delay bound is configured), so the ledger — and
@@ -883,63 +546,33 @@ impl PolicyResolver {
             .requests
             .fetch_add(domains.len() as u64, Ordering::Relaxed);
 
-        // Phase A (parallel, pure reads): record lookup + cache
-        // assessment per request. No writes happen anywhere in this
-        // phase, so every thread count observes the same pre-wave cache.
-        enum Class {
-            Served(ResolvedPolicy, Disposition),
-            NeedsFetch(RecordLookup),
-        }
-        let classified: Vec<Class> = map_sharded(threads, domains, |_, domain| {
+        // Phase A (parallel, pure reads): record lookup + classification
+        // per request. No entry is written in this phase, so every thread
+        // count observes the same pre-wave cache.
+        let classified: Vec<Classified> = map_sharded(threads, domains, |_, domain| {
             let txts = source.record_txts(domain, submitted);
-            let record = evaluate_lookup(txts.as_deref());
-            let record_id = record_id_of(&record);
-            match self.cache.assess(domain, record_id.as_deref(), submitted) {
-                CacheDecision::UseCached(entry) => Class::Served(
-                    ResolvedPolicy::Active {
-                        policy: entry.policy,
-                        from_cache: true,
-                        stale: false,
-                    },
-                    Disposition::Hit,
-                ),
-                CacheDecision::UseCachedDespiteDns(entry) => Class::Served(
-                    ResolvedPolicy::Active {
-                        policy: entry.policy,
-                        from_cache: true,
-                        stale: false,
-                    },
-                    Disposition::HitDespiteDns,
-                ),
-                CacheDecision::Fetch(_) => Class::NeedsFetch(record),
-            }
+            classify(&self.cache, domain, txts.as_deref(), submitted)
         });
 
-        // Phase B (sequential): first occurrence of each cold domain
-        // leads; later occurrences coalesce. Leaders that actually need
-        // the HTTPS leg (valid record) get planned admission instants.
+        // Phase B (sequential): the first occurrence of each domain that
+        // needs a fetch leads; later occurrences coalesce. Admission
+        // plan: one instant per leader, from the single logical bucket
+        // (deterministic per-shard clocks, as in the parallel scanner).
+        // `None` = shed.
         let mut leader_of: HashMap<&DomainName, usize> = HashMap::new();
         let mut leaders: Vec<usize> = Vec::new();
         for (i, class) in classified.iter().enumerate() {
-            if matches!(class, Class::NeedsFetch(_)) {
+            if matches!(class, Classified::NeedsFetch(_)) {
                 leader_of.entry(&domains[i]).or_insert_with(|| {
                     leaders.push(i);
                     i
                 });
             }
         }
-        let fetch_leaders: Vec<usize> = leaders
-            .iter()
-            .copied()
-            .filter(|&i| matches!(&classified[i], Class::NeedsFetch(Some(Ok(_)))))
-            .collect();
-        // Admission plan: one instant per fetch leader, from the single
-        // logical bucket (deterministic per-shard clocks, PR-3 style).
-        // `None` = shed.
         let admissions: Vec<Option<SimInstant>> = match (&self.bucket, &self.cfg.admission) {
             (Some(bucket), Some(adm)) => {
                 let mut bucket = bucket.lock().expect("bucket lock poisoned");
-                fetch_leaders
+                leaders
                     .iter()
                     .map(|_| {
                         let wait = bucket.time_until_available(submitted);
@@ -951,112 +584,36 @@ impl PolicyResolver {
                     })
                     .collect()
             }
-            _ => fetch_leaders.iter().map(|_| Some(submitted)).collect(),
+            _ => leaders.iter().map(|_| Some(submitted)).collect(),
         };
 
         // Phase C (parallel, pure in `(domain, instant)`): the fetches.
-        let fetch_inputs: Vec<(usize, SimInstant)> = fetch_leaders
+        let fetch_inputs: Vec<(usize, SimInstant)> = leaders
             .iter()
             .zip(&admissions)
             .filter_map(|(&i, at)| at.map(|at| (i, at)))
             .collect();
-        let fetched: Vec<Result<String, String>> =
-            map_sharded(threads, &fetch_inputs, |_, &(i, at)| {
-                source.fetch_policy(&domains[i], at)
-            });
-        let mut fetch_result: HashMap<usize, (Result<String, String>, SimInstant)> = fetch_inputs
-            .iter()
-            .zip(fetched)
-            .map(|(&(i, at), body)| (i, (body, at)))
-            .collect();
-        let shed: std::collections::HashSet<usize> = fetch_leaders
-            .iter()
-            .zip(&admissions)
-            .filter_map(|(&i, at)| at.is_none().then_some(i))
-            .collect();
+        let mut fetched = map_sharded(threads, &fetch_inputs, |_, &(i, at)| {
+            source.fetch_policy(&domains[i], at)
+        })
+        .into_iter();
 
-        // Phase D (sequential, submission order): interpret leaders,
-        // fold stores into the cache, then emit rows — coalesced
-        // followers reuse their leader's resolution.
+        // Phase D (sequential, submission order): settle leaders, folding
+        // stores into the cache, then emit rows — coalesced followers
+        // reuse their leader's resolution.
         let mut leader_outcome: HashMap<usize, (ResolvedPolicy, Disposition, SimInstant)> =
             HashMap::new();
-        for &i in &leaders {
-            let Class::NeedsFetch(record) = &classified[i] else {
-                unreachable!("leaders are NeedsFetch by construction");
+        for (&i, admission) in leaders.iter().zip(&admissions) {
+            let Classified::NeedsFetch(record) = &classified[i] else {
+                unreachable!("leaders need a fetch by construction");
             };
-            let domain = &domains[i];
-            let outcome = if shed.contains(&i) {
-                (
-                    (
-                        ResolvedPolicy::Unavailable {
-                            reason: "fetch shed by admission control".to_string(),
-                        },
-                        Disposition::Shed,
-                    ),
-                    submitted,
-                )
-            } else {
-                match record {
-                    None => (
-                        match self.cache.entry_clone(domain) {
-                            Some(entry) => (
-                                ResolvedPolicy::Active {
-                                    policy: entry.policy,
-                                    from_cache: true,
-                                    stale: true,
-                                },
-                                Disposition::StaleFallback,
-                            ),
-                            None => (ResolvedPolicy::NotApplicable, Disposition::Undeployed),
-                        },
-                        submitted,
-                    ),
-                    Some(Err(RecordError::NoRecord)) => (
-                        (ResolvedPolicy::NotApplicable, Disposition::Undeployed),
-                        submitted,
-                    ),
-                    Some(Err(e)) => (
-                        (
-                            ResolvedPolicy::RecordInvalid(e.clone()),
-                            Disposition::RecordInvalid,
-                        ),
-                        submitted,
-                    ),
-                    Some(Ok(rec)) => {
-                        let (body, at) = fetch_result.remove(&i).expect("fetch ran for leader");
-                        let outcome = match body {
-                            Ok(body) => match parse_policy(&body) {
-                                Ok(policy) => {
-                                    self.cache
-                                        .store(domain.clone(), policy.clone(), &rec.id, at);
-                                    (
-                                        ResolvedPolicy::Active {
-                                            policy,
-                                            from_cache: false,
-                                            stale: false,
-                                        },
-                                        Disposition::Fetched,
-                                    )
-                                }
-                                Err(e) => stale_or_shared(
-                                    &self.cache,
-                                    domain,
-                                    at,
-                                    format!("policy parse failure: {e:?}"),
-                                ),
-                            },
-                            Err(e) => stale_or_shared(
-                                &self.cache,
-                                domain,
-                                at,
-                                format!("policy fetch failure: {e}"),
-                            ),
-                        };
-                        (outcome, at)
-                    }
+            let ((resolved, disposition), at) = match *admission {
+                None => (shed(), submitted),
+                Some(at) => {
+                    let body = fetched.next().expect("fetch ran for admitted leader");
+                    (settle(&self.cache, &domains[i], record, body, at), at)
                 }
             };
-            let ((resolved, disposition), at) = outcome;
             leader_outcome.insert(i, (resolved, disposition, at));
         }
 
@@ -1064,11 +621,11 @@ impl PolicyResolver {
         for (i, class) in classified.iter().enumerate() {
             let domain = &domains[i];
             let row = match class {
-                Class::Served(resolved, disposition) => {
+                Classified::Served(resolved, disposition) => {
                     self.metrics.count(*disposition);
                     row_for(i as u64, domain, resolved, *disposition, submitted)
                 }
-                Class::NeedsFetch(_) => {
+                Classified::NeedsFetch(_) => {
                     let leader = leader_of[domain];
                     let (resolved, disposition, at) =
                         leader_outcome.get(&leader).expect("leader resolved");

@@ -6,15 +6,18 @@
 //! - **single-flight**: a thundering herd of N threads resolving the
 //!   same cold domain triggers exactly one policy fetch — the herd
 //!   parks on the in-flight slot and reuses the leader's result;
-//! - **shard-merge determinism**: the sharded cache's snapshot is
-//!   byte-identical to a single `PolicyCache`'s for every shard count
+//! - **shard-merge determinism**: a sharded cache's snapshot is
+//!   byte-identical to a one-shard `PolicyCache`'s for every shard count
 //!   (property);
-//! - **oracle equivalence**: for any interleaving of stores and
-//!   decisions, the sharded cache answers exactly what a single
-//!   `PolicyCache` oracle answers (property);
+//! - **shard-count equivalence**: for any interleaving of stores and
+//!   decisions, an 8-shard cache answers exactly what a one-shard cache
+//!   answers (property);
 //! - **batch determinism**: `resolve_batch`'s ledger digest is
 //!   byte-identical at `SCAN_THREADS ∈ {1, 8}`, including duplicate
 //!   coalescing and admission-control shedding;
+//! - **batch/sequential parity**: without duplicates or admission,
+//!   every `resolve_batch` row matches `resolve_shared` run domain by
+//!   domain on an identically seeded cache;
 //! - **outage-at-expiry regression**: a DNS outage coinciding with
 //!   cache expiry keeps delivery protected through §3.3 stale fallback
 //!   (the pre-fix cache erased the entry in `decide` and downgraded to
@@ -22,10 +25,10 @@
 //! - **/metrics**: the daemon serves the resolver counters in
 //!   Prometheus text exposition over real TCP.
 
-use mtasts::{CachedPolicy, Mode, MxPattern, Policy, PolicyCache};
+use mtasts::{CachedPolicy, Mode, MxPattern, Policy, PolicyCache, ResolvedPolicy};
 use mtasts_sender::resolver::{
-    resolution_digest, AdmissionConfig, DaemonConfig, Disposition, PolicyResolver, PolicySource,
-    ResolverConfig, ResolverDaemon, ShardedPolicyCache,
+    resolution_digest, resolve_shared, AdmissionConfig, DaemonConfig, Disposition, PolicyResolver,
+    PolicySource, ResolverConfig, ResolverDaemon,
 };
 use mtasts_sender::{
     AttemptDisposition, DeliveryQueue, EnforcementConfig, MxTransport, QueueConfig, QueuedMessage,
@@ -135,7 +138,7 @@ fn cold_herd_single_flight_one_fetch() {
     assert_eq!(source.fetch_count("herd.example"), 1, "herd broke through");
     for (resolved, _) in &results {
         match resolved {
-            mtasts_sender::ResolvedPolicy::Active { policy, .. } => {
+            ResolvedPolicy::Active { policy, .. } => {
                 assert_eq!(policy.mode, Mode::Enforce)
             }
             other => panic!("herd member got {other:?}"),
@@ -176,7 +179,7 @@ fn concurrent_herd_fetches_each_domain_once() {
                     let d = domains[(i + k) % domains.len()];
                     let (resolved, _) = resolver.resolve(&*source, &n(d), t0());
                     assert!(
-                        matches!(resolved, mtasts_sender::ResolvedPolicy::Active { .. }),
+                        matches!(resolved, ResolvedPolicy::Active { .. }),
                         "{d}: {resolved:?}"
                     );
                 }
@@ -227,9 +230,9 @@ fn arb_entry(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Snapshotting a sharded cache equals snapshotting one big
-    /// `PolicyCache`, whatever the shard count — merging shards in
-    /// shard order is a determinism guarantee, not an accident.
+    /// Snapshotting a sharded cache equals snapshotting a one-shard
+    /// cache, whatever the shard count — merging shards in shard order
+    /// is a determinism guarantee, not an accident.
     #[test]
     fn shard_merge_matches_single_cache(
         raw in prop::collection::vec(
@@ -243,16 +246,16 @@ proptest! {
             .map(|&(d, m, a, f)| arb_entry(d, m, a, f))
             .collect();
         // Duplicates keep the last entry in both implementations.
-        let oracle = PolicyCache::from_snapshot(entries.clone()).snapshot();
+        let oracle = PolicyCache::from_snapshot(entries.clone(), 1).snapshot();
         for count in [1usize, 2, usize::from(shards % 16) + 1, 64] {
-            let sharded = ShardedPolicyCache::from_snapshot(entries.clone(), count);
+            let sharded = PolicyCache::from_snapshot(entries.clone(), count);
             prop_assert_eq!(&sharded.snapshot(), &oracle, "shards={}", count);
         }
     }
 
-    /// For any interleaving of stores and decisions, the sharded cache
-    /// answers exactly what a single `PolicyCache` oracle answers, and
-    /// both end with identical contents.
+    /// For any interleaving of stores and decisions, an 8-shard cache
+    /// answers exactly what a one-shard cache answers, and both end with
+    /// identical contents.
     #[test]
     fn sharded_decisions_match_oracle(
         ops in prop::collection::vec(
@@ -260,8 +263,8 @@ proptest! {
             0..60,
         ),
     ) {
-        let sharded = ShardedPolicyCache::new(8);
-        let mut oracle = PolicyCache::new();
+        let sharded = PolicyCache::new(8);
+        let oracle = PolicyCache::new(1);
         for &(is_store, d, m, at) in &ops {
             let (a, t) = ((at >> 16) as u16, (at & 0xffff) as u16);
             let now = t0() + Duration::seconds(i64::from(t));
@@ -276,7 +279,7 @@ proptest! {
                     _ => Some(format!("id{}", m % 5)),
                 };
                 let got = sharded.assess(&domain, record_id.as_deref(), now);
-                let want = oracle.decide(&domain, record_id.as_deref(), now);
+                let want = oracle.assess(&domain, record_id.as_deref(), now);
                 prop_assert_eq!(got, want);
             }
         }
@@ -408,6 +411,84 @@ fn warm_batch_is_all_hits() {
             .filter(|r| r.disposition == Disposition::Fetched)
             .count() as u64
     );
+}
+
+// ---------------------------------------------------------------------
+// Batch versus sequential resolution
+// ---------------------------------------------------------------------
+
+/// Cache seeds for `domains` by position: fresh with the id
+/// [`MixedSource`] publishes, fresh under an outdated id, long expired,
+/// or nothing cached. Seeded policies are `testing` so they are told
+/// apart from freshly fetched (`enforce`) ones.
+fn seeded_entries(domains: &[DomainName]) -> Vec<(DomainName, CachedPolicy)> {
+    domains
+        .iter()
+        .enumerate()
+        .filter_map(|(k, domain)| {
+            let (record_id, fetched_at, max_age) = match k % 4 {
+                0 => (format!("gen{}", k % 7), t0() - Duration::hours(1), 86_400),
+                1 => ("outdated".to_string(), t0() - Duration::hours(1), 86_400),
+                2 => (format!("gen{}", k % 7), t0() - Duration::days(3), 3_600),
+                _ => return None,
+            };
+            let policy = Policy::new(
+                Mode::Testing,
+                max_age,
+                vec![MxPattern::parse("mx.example.com").unwrap()],
+            );
+            let entry = CachedPolicy {
+                policy,
+                record_id,
+                fetched_at,
+            };
+            Some((domain.clone(), entry))
+        })
+        .collect()
+}
+
+#[test]
+fn batch_rows_match_sequential_resolution() {
+    // Every (MixedSource class × seed) combination, each domain once.
+    let domains: Vec<DomainName> = (0..120).map(|k| n(&format!("m{k}.example"))).collect();
+    let entries = seeded_entries(&domains);
+    let cfg = ResolverConfig {
+        shards: 16,
+        admission: None,
+        threads: 0,
+    };
+    let resolver = PolicyResolver::with_cache(cfg, t0(), entries.clone());
+    let rows = resolver.resolve_batch(&MixedSource, &domains, t0());
+
+    let cache = PolicyCache::from_snapshot(entries, 16);
+    for (row, domain) in rows.iter().zip(&domains) {
+        let (resolved, disposition) = resolve_shared(&cache, &MixedSource, domain, t0());
+        let (mode, stale) = match &resolved {
+            ResolvedPolicy::Active { policy, stale, .. } => (Some(policy.mode), *stale),
+            _ => (None, false),
+        };
+        assert_eq!(
+            (row.disposition, row.mode, row.stale),
+            (disposition, mode, stale),
+            "{domain}"
+        );
+    }
+    assert_eq!(resolver.cache().snapshot(), cache.snapshot());
+    assert_eq!(resolver.cache().stats(), cache.stats());
+    for want in [
+        Disposition::Hit,
+        Disposition::HitDespiteDns,
+        Disposition::Fetched,
+        Disposition::StaleFallback,
+        Disposition::Undeployed,
+        Disposition::RecordInvalid,
+        Disposition::Unavailable,
+    ] {
+        assert!(
+            rows.iter().any(|r| r.disposition == want),
+            "batch never produced {want:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
